@@ -153,12 +153,15 @@ class FabricReport:
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     int_all: bool = False
     fastpath_enabled: bool = True
-    #: Batch-tier statistics (closures compiled, packets replayed,
-    #: invalidation splits, coalesced segments).  Operational like
-    #: ``fastpath`` — segment shapes depend on partitioning — so they
-    #: are Counter-merged across shards and stay out of the signature.
+    #: Batch statistics: coalesced ``segments``/``segment_packets``
+    #: plus the network's ``replays``/``replayed_packets`` (path-cache
+    #: walks applied × n), ``splits``, ``cold_misses`` and
+    #: ``prewarmed`` — all present, 0 when batching is off.
+    #: Operational like ``fastpath`` — segment shapes depend on
+    #: partitioning — so they are Counter-merged across shards and stay
+    #: out of the signature.
     batch: dict[str, int] = field(default_factory=dict)
-    #: Config echo for the batch tier; head-checked at merge like
+    #: Config echo for batching; head-checked at merge like
     #: ``fastpath_enabled``, never part of the signature.
     batch_enabled: bool = True
     #: The supervised executor's ledger (attempts, retries, inline
@@ -545,108 +548,7 @@ def _lost_total(record: FlowRecord) -> int:
             + record.blackholed + record.dropped_hop_limit)
 
 
-def _send_packet(
-    topology: FabricTopology,
-    event: _Event,
-    flap: _FlapOracle,
-    hops_hist: Counter,
-    frames: dict[tuple[int, bool], bytes],
-    loss_by_epoch: Counter,
-    collector: Optional[IntCollector] = None,
-) -> None:
-    flow, record, session = event.flow, event.record, event.session
-    if event.is_response and record.delivered == 0:
-        return  # the request never arrived: there is no RPC to answer
-    src = topology.hosts[flow.dst if event.is_response else flow.src]
-    dst = topology.hosts[flow.src if event.is_response else flow.dst]
-    record.attempted += 1
-    lost_before = _lost_total(record)
-    try:
-        if flap.down(src.name, event.tick // FLAP_EPOCH_TICKS):
-            record.lost_flap += 1
-            session.counters["flap_lost_frames"] += 1
-            return
-        retrans_before = session.counters.get("link_retransmits", 0)
-        delivered_to_wire = session.link_transfer()
-        record.retransmits += (
-            session.counters.get("link_retransmits", 0) - retrans_before
-        )
-        if not delivered_to_wire:
-            record.lost_wire += 1
-            return
-        key = (flow.flow_id, event.is_response)
-        frame = frames.get(key)
-        if frame is None:
-            builder = int_frame if flow.int_enabled else flow_frame
-            frame = frames[key] = builder(topology, flow, event.is_response)
-        telemetered = flow.int_enabled and collector is not None
-        result = topology.network.inject(
-            src.device, src.port, frame,
-            int_seq=event.pkt_index if telemetered else None,
-        )
-        if telemetered:
-            collector.sent(
-                flow.flow_id, event.is_response, event.pkt_index,
-                event.tick // FLAP_EPOCH_TICKS, result,
-            )
-            for delivery in result:
-                collector.deliver(delivery.frame)
-        record.dropped_hop_limit += result.dropped_hop_limit
-        record.lost_link += result.dropped_link_down
-        hit = False
-        for delivery in result:
-            if (delivery.at.device == dst.device
-                    and delivery.at.port.index == dst.port):
-                hit = True
-                record.delivered += 1
-                record.bytes_delivered += len(delivery.frame)
-                record.hops_total += delivery.hops
-                record.hops_max = max(record.hops_max, delivery.hops)
-                hops_hist[delivery.hops] += 1
-            else:
-                record.misdelivered += 1
-        if (not hit and not result.dropped_hop_limit
-                and not result.dropped_link_down):
-            record.blackholed += 1
-    finally:
-        lost = _lost_total(record) - lost_before
-        if lost:
-            loss_by_epoch[event.tick // FLAP_EPOCH_TICKS] += lost
-
-
-def _account_uniform(
-    record: FlowRecord,
-    dst,
-    deliveries,
-    dropped_hop: int,
-    dropped_link: int,
-    hops_hist: Counter,
-    n: int,
-) -> None:
-    """Fold ``n`` identical packets' outcome into the flow record.
-
-    ``deliveries`` iterates one packet's ``(attachment, frame, hops)``
-    template; every count moves by ``n *`` the template — exactly what
-    ``n`` passes of :func:`_send_packet`'s accounting loop would do.
-    """
-    record.dropped_hop_limit += dropped_hop * n
-    record.lost_link += dropped_link * n
-    hit = False
-    for at, frame, hops in deliveries:
-        if at.device == dst.device and at.port.index == dst.port:
-            hit = True
-            record.delivered += n
-            record.bytes_delivered += len(frame) * n
-            record.hops_total += hops * n
-            record.hops_max = max(record.hops_max, hops)
-            hops_hist[hops] += n
-        else:
-            record.misdelivered += n
-    if not hit and not dropped_hop and not dropped_link:
-        record.blackholed += n
-
-
-def _send_batch(
+def _send(
     topology: FabricTopology,
     event: _Event,
     n: int,
@@ -656,24 +558,25 @@ def _send_batch(
     loss_by_epoch: Counter,
     collector: Optional[IntCollector] = None,
 ) -> None:
-    """Carry ``n`` consecutive packets of one flow direction at once.
+    """Carry ``n`` consecutive packets of one flow direction from ``event``.
 
-    The coalesced counterpart of :func:`_send_packet`, valid only under
-    the engine's eligibility gate: every per-epoch oracle answers the
-    same for all ``n`` events (they share one flap epoch, or the
-    oracles are epoch-independent) and the fault plan has no per-packet
-    wire draws (``plan.link is None`` makes ``link_transfer`` a
-    constant True with no counters).  Packets replay through
-    :meth:`Network.inject_batch`; a cold or uncacheable flow falls back
-    to per-packet injects — the first of which warms the walk, so the
-    remainder batches.
+    ``n == 1`` is the per-packet path: one wire draw, one
+    :meth:`Network.inject`.  ``n > 1`` is a coalesced segment, valid
+    only under the engine's eligibility gate: every per-epoch oracle
+    answers the same for all ``n`` events (they share one flap epoch,
+    or the oracles are epoch-independent) and the fault plan has no
+    per-packet wire draws (``plan.link is None`` makes
+    ``link_transfer`` a constant True with no counters).  A segment
+    replays through :meth:`Network.inject_batch`; a cold or uncacheable
+    walk falls back to per-packet injects — the first of which warms
+    the walk, so the remainder batches.
 
     Loss and INT epoch attribution stay per-packet: a segment may span
     flap epochs (the epoch-free case), so lost packets are booked
     against the epoch of their *own* tick, not the segment head's.
-    Closure replays are uniform — every packet of a batch loses the
-    same amount — which is what lets the batch path spread its loss
-    delta evenly across the member ticks.
+    Batch replays are uniform — every packet of a batch loses the same
+    amount — which is what lets a batch spread its loss delta evenly
+    across the member ticks.
     """
     flow, record, session = event.flow, event.record, event.session
     if event.is_response and record.delivered == 0:
@@ -685,12 +588,22 @@ def _send_batch(
     epoch = event.tick // FLAP_EPOCH_TICKS
     record.attempted += n
     if flap.down(src.name, epoch):
-        # Only reachable with the flap oracle armed, where the span is
-        # capped to one epoch — head attribution is exact.
+        # A segment under an armed flap oracle is capped to one epoch,
+        # so head attribution is exact.
         record.lost_flap += n
         session.counters["flap_lost_frames"] += n
         loss_by_epoch[epoch] += n
         return
+    if n == 1:
+        retrans_before = session.counters.get("link_retransmits", 0)
+        delivered_to_wire = session.link_transfer()
+        record.retransmits += (
+            session.counters.get("link_retransmits", 0) - retrans_before
+        )
+        if not delivered_to_wire:
+            record.lost_wire += 1
+            loss_by_epoch[epoch] += 1
+            return
     key = (flow.flow_id, event.is_response)
     frame = frames.get(key)
     if frame is None:
@@ -698,57 +611,60 @@ def _send_batch(
         frame = frames[key] = builder(topology, flow, event.is_response)
     telemetered = flow.int_enabled and collector is not None
     network = topology.network
-    seq = event.pkt_index
-    remaining = n
-    while remaining:
-        offset = n - remaining  # packets of the segment already carried
-        lost_before = _lost_total(record)
-        batch = network.inject_batch(src.device, src.port, frame, remaining)
-        if batch is None:
-            # Cold (or uncacheable) walk: carry one packet the classic
-            # way — it warms the path cache so the rest can replay.
-            result = network.inject(
+    sent = 0  # packets of the segment already carried
+    while sent < n:
+        seq = event.pkt_index + sent
+        walk = (network.inject_batch(src.device, src.port, frame, n - sent)
+                if n > 1 else None)
+        if walk is None:
+            # Per-packet send (or a cold walk inside a segment): this
+            # inject warms the path cache so the rest can replay.
+            count = 1
+            outcome = network.inject(
                 src.device, src.port, frame,
                 int_seq=seq if telemetered else None,
             )
+            deliveries = [(d.at, d.frame, d.hops) for d in outcome]
             if telemetered:
                 collector.sent(flow.flow_id, event.is_response, seq,
-                               epoch_of(offset), result)
-                for delivery in result:
-                    collector.deliver(delivery.frame)
-            _account_uniform(
-                record, dst,
-                ((d.at, d.frame, d.hops) for d in result),
-                result.dropped_hop_limit, result.dropped_link_down,
-                hops_hist, 1,
-            )
-            lost = _lost_total(record) - lost_before
-            if lost:
-                loss_by_epoch[epoch_of(offset)] += lost
-            seq += 1
-            remaining -= 1
-            continue
-        if telemetered:
-            seqs = range(seq, seq + remaining)
-            collector.sent_batch(
-                flow.flow_id, event.is_response, seqs,
-                [epoch_of(j) for j in range(offset, n)], batch,
-            )
-            for _, dframe, _ in batch.deliveries:
-                collector.deliver_batch(dframe, seqs)
-        _account_uniform(
-            record, dst, batch.deliveries,
-            batch.dropped_hop_limit, batch.dropped_link_down,
-            hops_hist, remaining,
-        )
+                               epoch_of(sent), outcome)
+                for _, dframe, _ in deliveries:
+                    collector.deliver(dframe)
+        else:
+            count = n - sent
+            outcome, deliveries = walk, walk.deliveries
+            if telemetered:
+                seqs = range(seq, seq + count)
+                collector.sent_batch(
+                    flow.flow_id, event.is_response, seqs,
+                    [epoch_of(j) for j in range(sent, n)], walk,
+                )
+                for _, dframe, _ in deliveries:
+                    collector.deliver_batch(dframe, seqs)
+        lost_before = _lost_total(record)
+        record.dropped_hop_limit += outcome.dropped_hop_limit * count
+        record.lost_link += outcome.dropped_link_down * count
+        hit = False
+        for at, dframe, hops in deliveries:
+            if at.device == dst.device and at.port.index == dst.port:
+                hit = True
+                record.delivered += count
+                record.bytes_delivered += len(dframe) * count
+                record.hops_total += hops * count
+                record.hops_max = max(record.hops_max, hops)
+                hops_hist[hops] += count
+            else:
+                record.misdelivered += count
+        if (not hit and not outcome.dropped_hop_limit
+                and not outcome.dropped_link_down):
+            record.blackholed += count
         lost = _lost_total(record) - lost_before
         if lost:
-            # Uniform replay: each of the `remaining` packets lost
-            # exactly lost/remaining, booked at its own tick's epoch.
-            per_packet = lost // remaining
-            for j in range(offset, n):
-                loss_by_epoch[epoch_of(j)] += per_packet
-        remaining = 0
+            # Each of the `count` packets lost exactly lost/count,
+            # booked at its own tick's epoch.
+            for j in range(sent, sent + count):
+                loss_by_epoch[epoch_of(j)] += lost // count
+        sent += count
 
 
 class FlowEngine:
@@ -869,10 +785,10 @@ class FlowEngine:
         :meth:`~repro.testenv.topology.Network.warm_paths` walks each
         template once inside the counter sandbox, so the dispatch loop
         never takes a cold walk: the first ``inject_batch`` of a flow
-        compiles straight from the prewarmed walk and the whole segment
-        replays.  Purely an optimisation — carries no packet, moves no
-        fingerprinted counter, and a stale or uncacheable walk still
-        falls back to the per-packet path mid-run.
+        finds the prewarmed walk and the whole segment replays.  Purely
+        an optimisation — carries no packet, moves no fingerprinted
+        counter, and a stale or uncacheable walk still falls back to
+        the per-packet path mid-run.
         """
         injections = []
         for flow in self._pending:
@@ -906,11 +822,17 @@ class FlowEngine:
             for event in events:
                 heapq.heappush(self._heap, event)
 
-    def _dispatch(self) -> Optional[_Event]:
-        """Pop and carry exactly one event — the batch loop's body.
+    def _dispatch(self, coalesce: bool) -> int:
+        """Pop the next live event and carry it; returns packets carried.
 
-        Events a coalesced segment already carried pop as no-ops;
-        returns ``None`` when the heap drained without a live event.
+        With ``coalesce`` (the drain loops of a batch-eligible engine)
+        the event carries its whole segment (:meth:`_segment_span`);
+        otherwise the span is 1.  Pull-forward is safe because per-flow
+        outcomes are pure functions of ``(topology, workload, seed,
+        plan)`` independent of event interleaving — the same contract
+        that lets sharding reorder arbitrarily.  A segment's later
+        events stay in the heap and pop as no-ops via :attr:`_consumed`.
+        Returns 0 when the heap drained without a live event.
         """
         while self._heap:
             event = heapq.heappop(self._heap)
@@ -921,12 +843,20 @@ class FlowEngine:
                     continue
             if self.clock is not None:
                 self.clock.advance_to(event.tick)
+            n = self._segment_span(event) if coalesce else 1
             self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
-            _send_packet(self.topology, event, self._flap, self._hops_hist,
-                         self._frames, self._loss_by_epoch, self.collector)
-            self._finish_events(event, 1)
-            return event
-        return None
+            _send(self.topology, event, n, self._flap, self._hops_hist,
+                  self._frames, self._loss_by_epoch, self.collector)
+            if n > 1:
+                for i in range(1, n):
+                    self._consumed.add(
+                        (event.flow_id, event.is_response, event.pkt_index + i)
+                    )
+                self._batch_segments += 1
+                self._batch_segment_packets += n
+            self._finish_events(event, n)
+            return n
+        return 0
 
     def _finish_events(self, event: _Event, n: int) -> None:
         """Book ``n`` carried events against the flow's residency."""
@@ -961,38 +891,6 @@ class FlowEngine:
             return max(left, 1) if gap > 0 else left
         epoch_end = (event.tick // FLAP_EPOCH_TICKS + 1) * FLAP_EPOCH_TICKS
         return min(left, (epoch_end - 1 - event.tick) // gap + 1)
-
-    def _dispatch_batched(self) -> int:
-        """Pop one event and carry its whole coalesced segment.
-
-        Pull-forward is safe because per-flow outcomes are pure
-        functions of ``(topology, workload, seed, plan)`` independent
-        of event interleaving — the same contract that lets sharding
-        reorder arbitrarily.  The segment's later events stay in the
-        heap and pop as no-ops via :attr:`_consumed`.
-        """
-        event = heapq.heappop(self._heap)
-        key = (event.flow_id, event.is_response, event.pkt_index)
-        if key in self._consumed:
-            self._consumed.discard(key)
-            return 0
-        n = self._segment_span(event)
-        self._link_ctl.apply(event.tick // FLAP_EPOCH_TICKS)
-        if n == 1:
-            _send_packet(self.topology, event, self._flap, self._hops_hist,
-                         self._frames, self._loss_by_epoch, self.collector)
-        else:
-            _send_batch(self.topology, event, n, self._flap,
-                        self._hops_hist, self._frames, self._loss_by_epoch,
-                        self.collector)
-            for i in range(1, n):
-                self._consumed.add(
-                    (event.flow_id, event.is_response, event.pkt_index + i)
-                )
-            self._batch_segments += 1
-            self._batch_segment_packets += n
-        self._finish_events(event, n)
-        return n
 
     # -- introspection -------------------------------------------------
     @property
@@ -1041,8 +939,7 @@ class FlowEngine:
             raise ValueError("step count must be >= 1")
         done = 0
         while done < events and self._heap:
-            if self._dispatch() is not None:
-                done += 1
+            done += self._dispatch(False)
         return done
 
     def run_until(
@@ -1066,8 +963,7 @@ class FlowEngine:
                 break
             if tick is not None and self._heap[0].tick > tick:
                 break
-            if self._dispatch() is not None:
-                done += 1
+            done += self._dispatch(False)
         if (tick is not None and self.clock is not None
                 and (predicate is None or not predicate(self))):
             self.clock.advance_to(tick)
@@ -1078,19 +974,14 @@ class FlowEngine:
 
         This is the batch loop: with no clock (or an unpaused one) it
         drains the heap exactly as :func:`run_flows` always did — and
-        with the batch tier eligible, consecutive same-flow events
-        coalesce into compiled segment replays.
+        with batching eligible, consecutive same-flow events coalesce
+        into segments replayed from the path cache.
         """
         done = 0
-        if self._batch:
-            while self._heap:
-                done += self._dispatch_batched()
-            return done
         while self._heap:
             if self.clock is not None and self.clock.paused:
                 break
-            if self._dispatch() is not None:
-                done += 1
+            done += self._dispatch(self._batch)
         return done
 
     # -- the report ----------------------------------------------------
@@ -1104,10 +995,7 @@ class FlowEngine:
         if self._report is not None:
             return self._report
         while self._heap:
-            if self._batch:
-                self._dispatch_batched()
-            else:
-                self._dispatch()
+            self._dispatch(self._batch)
         self._link_ctl.restore()
         self._report = FabricReport(
             topology=self.topology.key,
@@ -1212,11 +1100,11 @@ def run_flows(
     any carried flow is INT-enabled an :class:`~repro.int.IntCollector`
     rides the run and the report carries its receiver-side summary.
 
-    ``batch=False`` disables the S27 batch tier (compiled per-flow
-    closures, coalesced segment dispatch) — the per-packet reference
-    path behind ``nf-mon fabric --no-batch``.  Like ``fastpath`` it is
-    an A/B switch: the fingerprint is identical either way, only
-    ``report.batch`` and the wall clock move.
+    ``batch=False`` disables batching (coalesced segment dispatch, each
+    segment the flow's path-cache walk applied × n) and takes the
+    per-packet reference path.  Like ``fastpath`` it is an A/B switch:
+    the fingerprint is identical either way, only ``report.batch`` and
+    the wall clock move.
 
     This is now a thin veneer over :class:`FlowEngine` — the steppable
     machine the interactive shell (:mod:`repro.shell`) drives with a

@@ -12,28 +12,17 @@ observable:
   topology-wide generation vector is stable, and batches injections
   through :meth:`Network.inject_many`.
 
-A third tier batches (S27):
-
-* :class:`FlowBatchCompiler` / :class:`CompiledFlow`
-  (:mod:`repro.fastpath.batch`) — a warm cached walk frozen into
-  struct-of-arrays form and replayed *N packets at a time* through
-  :meth:`Network.inject_batch`, counter deltas applied as ``n * delta``,
-  guarded by the same generation counters (a mid-run mutation splits
-  the batch exactly where it would invalidate the cache).
+Batch replay (S27) is the path-cache walk applied × n:
+:meth:`Network.inject_batch` moves every counter of a warm walk ``n``
+times in one step, under the same generation guard (a mid-run mutation
+splits the batch exactly where it would invalidate the cache).
 
 Telemetry lives in :func:`repro.telemetry.probes.probe_fastpath`;
 ``nf-mon fabric`` prints the same stats (and ``--no-fastpath`` turns
 the whole subsystem off for A/B runs — the E18 bench asserts the
-fingerprints agree and the cache side is >=3x faster; ``--no-batch``
-is the batch tier's own A/B switch).
+fingerprints agree and the cache side is >=3x faster).
 """
 
-from repro.fastpath.batch import (
-    COMPILED_CAPACITY,
-    BatchResult,
-    CompiledFlow,
-    FlowBatchCompiler,
-)
 from repro.fastpath.cache import (
     DEFAULT_CAPACITY,
     MicroflowCache,
@@ -41,11 +30,7 @@ from repro.fastpath.cache import (
 )
 
 __all__ = [
-    "BatchResult",
-    "COMPILED_CAPACITY",
-    "CompiledFlow",
     "DEFAULT_CAPACITY",
-    "FlowBatchCompiler",
     "MicroflowCache",
     "session_has_datapath_sites",
 ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro.telemetry.session import TelemetrySession
@@ -183,14 +184,15 @@ def cmd_fabric(args: argparse.Namespace) -> int:
                 if args.faults else None)
         chaos = (get_plan(args.chaos_shards, seed=args.seed)
                  if args.chaos_shards else None)
+        started = time.perf_counter()
         report = run_sharded(
             spec, workload, plan,
             shards=args.shards, parallel=not args.inline,
             fastpath=not args.no_fastpath,
-            batch=args.batch,
             supervised=not args.bare_pool,
             chaos=chaos, checkpoint=args.checkpoint,
         )
+        wall_s = time.perf_counter() - started
     except ValueError as exc:
         # Unknown topology/workload/plan preset, shards > flows, or a
         # checkpoint written by a different run — operator error.
@@ -215,7 +217,8 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             ("misdelivered", report.misdelivered),
             ("retransmits", sum(r.retransmits for r in report.records)),
             ("bytes delivered", sum(r.bytes_delivered for r in report.records)),
-            ("packets/sec", round(report.packets_per_second, 1)),
+            ("end-to-end packets/sec", round(report.attempted / wall_s, 1)),
+            ("run-phase packets/sec", round(report.packets_per_second, 1)),
         ]
         for label, value in rows:
             print(f"  {label:24s} {value}")
@@ -526,11 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition flows across this many workers")
     fabric.add_argument("--inline", action="store_true",
                         help="run shards sequentially in-process")
-    fabric.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="the S27 batch tier (compiled per-flow "
-                             "closures); --no-batch takes the "
-                             "per-packet reference path")
     fabric.add_argument("--no-fastpath", action="store_true",
                         help="disable the flow-cache fast path (A/B "
                              "reference run; same fingerprint, slower)")

@@ -30,18 +30,16 @@ fingerprint built from them) are byte-identical cached or not.
 generation check across hits.  ``set_fastpath(False)`` turns the path
 cache *and* every device's microflow cache off for A/B runs.
 
-**Batch tier (S27).**  :meth:`Network.inject_batch` replays *N
-same-flow packets in one call* through a precompiled
-:class:`~repro.fastpath.batch.CompiledFlow` closure built from the
-cached walk — counter deltas applied as ``n * delta``, one aggregate
-:class:`~repro.fastpath.batch.BatchResult` instead of N
-:class:`InjectionResult` objects, and (deliberately) no per-packet
-entries in the :attr:`deliveries` log, which is a debugging aid, not a
-fingerprinted observable.  Closures carry the same generation guard as
-the path cache, so any mutation splits the batch at the invalidation
-boundary; a cold or uncacheable flow returns ``None`` and the caller
-falls back to per-packet :meth:`inject` (which warms the walk for the
-next attempt).
+**Batch replay (S27).**  :meth:`Network.inject_batch` is the path-cache
+walk applied × n: when the caller is about to send ``n`` identical
+packets and the walk is warm under the current generation, every
+recorded counter delta is applied ``n`` times in one step and the
+cached walk itself comes back as the aggregate outcome.  Batched
+replays (deliberately) leave no per-packet entries in the
+:attr:`deliveries` log, which is a debugging aid, not a fingerprinted
+observable.  A cold, stale or uncacheable walk returns ``None`` and the
+caller falls back to per-packet :meth:`inject` (which warms the walk
+for the next attempt).
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.fastpath.batch import BatchResult, FlowBatchCompiler
 from repro.int.codec import set_seq as _int_set_seq
 from repro.projects.base import PortRef, ReferencePipeline
 
@@ -68,20 +65,23 @@ PATH_CACHE_CAPACITY = 8192
 
 
 @dataclass(frozen=True)
-class _CachedWalk:
+class CachedWalk:
     """A finished injection, frozen for replay.
 
     ``deliveries`` are (attachment, frame, hops) tuples — fresh
     :class:`Delivery` objects are minted per replay since Delivery is
     mutable.  ``ops`` carries each touched device's counter delta
-    ``(opl, packets, drops, ((counter, delta), ...))``.  The site tuples
-    localize where the walk's losses happened, ``((device, port), ...)``.
+    ``(opl, packets, drops, ((counter, delta), ...))``.  The loss counts
+    and site tuples are one packet's, named as on
+    :class:`InjectionResult`; the sites localize where the walk's losses
+    happened, ``((device, port), ...)``.  :meth:`Network.inject_batch`
+    returns the walk itself as the per-packet outcome of its batch.
     """
 
     deliveries: tuple
-    dropped: int
+    dropped_hop_limit: int
     forwarded: int
-    link_down: int
+    dropped_link_down: int
     ops: tuple
     link_down_sites: tuple = ()
     hop_limit_sites: tuple = ()
@@ -175,16 +175,17 @@ class Network:
         self._down_ports: set[Attachment] = set()
         # Path cache (see the module docstring for the invariants).
         self.path_cache_enabled = True
-        self._path_cache: dict[tuple, _CachedWalk] = {}
+        self._path_cache: dict[tuple, CachedWalk] = {}
         self._path_generation = -1  # device generations are >= 0
         self._wiring_generation = 0
         self.path_hits = 0
         self.path_misses = 0
         self.path_invalidations = 0
         self.path_bypasses = 0
-        # Batch tier: compiled per-flow closures over cached walks.
-        self.batch_enabled = True
-        self._batch = FlowBatchCompiler()
+        # Batch replay statistics (operational, never fingerprinted).
+        self._batch = dict.fromkeys(
+            ("replays", "replayed_packets", "splits", "cold_misses",
+             "prewarmed"), 0)
 
     # ------------------------------------------------------------------
     # Construction
@@ -387,41 +388,40 @@ class Network:
 
     def inject_batch(
         self, device: str, port: int, frame: bytes, count: int,
-    ) -> Optional[BatchResult]:
-        """Replay ``count`` identical injections in one compiled call.
+    ) -> Optional[CachedWalk]:
+        """Replay ``count`` identical injections from the path cache.
 
-        Returns a :class:`~repro.fastpath.batch.BatchResult` whose
-        aggregate effects (per-device counters, loss accounting, the
-        template deliveries) are byte-identical to ``count`` sequential
-        :meth:`inject` calls of the same frame — or ``None`` when no
-        valid closure exists and none can be compiled: the batch tier
-        is off, the path cache is off, the walk is not warm under the
-        current generation, or the walk is uncacheable (CPU handlers,
-        armed datapath faults).  On ``None`` the caller injects
-        per-packet; one real inject warms the walk, so the next
-        ``inject_batch`` compiles and the rest of the run replays.
+        The cached walk applied × ``count``: when (device, port, frame)
+        has a walk memoized under the current generation, its counter
+        deltas move per-device counters and loss accounting exactly as
+        far as ``count`` sequential :meth:`inject` calls would, and the
+        walk is returned as the per-packet outcome.  Returns ``None``
+        when the path cache is off or the walk is cold, stale or
+        uncacheable (CPU handlers, armed datapath faults); the caller
+        then injects per-packet, and one real inject warms the walk for
+        the next call.
 
         Batched replays do *not* append to the :attr:`deliveries` log —
         the log is a per-packet debugging aid, not a fingerprinted
-        observable, and materializing N entries would defeat the tier.
+        observable, and materializing N entries would defeat the batch.
         """
         if count < 1:
             raise ValueError("batch count must be >= 1")
-        if not (self.path_cache_enabled and self.batch_enabled):
+        if not self.path_cache_enabled:
             return None
-        generation = self._network_generation()
         key = (device, port, frame)
-        closure = self._batch.lookup(key, generation)
-        if closure is None:
-            if generation != self._path_generation:
-                self._batch.cold_misses += 1
-                return None
-            walk = self._path_cache.get(key)
-            if walk is None:
-                self._batch.cold_misses += 1
-                return None
-            closure = self._batch.compile(key, walk, generation)
-        return self._batch.replay(self, closure, count)
+        walk = self._path_cache.get(key)
+        if walk is None or self._network_generation() != self._path_generation:
+            # A walk that is present but stale was invalidated under
+            # this flow: the batch splits at the mutation.
+            if walk is not None:
+                self._batch["splits"] += 1
+            self._batch["cold_misses"] += 1
+            return None
+        self._batch["replays"] += 1
+        self._batch["replayed_packets"] += count
+        self._apply_walk(walk, count)
+        return walk
 
     def warm_paths(
         self, injections: Iterable[tuple[str, int, bytes]]
@@ -432,9 +432,9 @@ class Network:
         :meth:`sandbox` — every fingerprinted counter is restored, so
         warming carries no packet — and memoizes the cacheable walks.
         A later :meth:`inject` or :meth:`inject_batch` of the same key
-        then replays (or compiles) without ever taking the slow walk:
-        this is what moves the batch tier's per-flow warm-up cost out
-        of the dispatch loop and into setup.
+        then replays without ever taking the slow walk: this is what
+        moves batch replay's per-flow warm-up cost out of the dispatch
+        loop and into setup.
 
         Returns the number of walks cached.  Stops early if a walk
         mutates decision state (a learning device — the same caveat as
@@ -466,7 +466,7 @@ class Network:
                     del self._path_cache[next(iter(self._path_cache))]
                 self._path_cache[key] = walk
                 warmed += 1
-        self._batch.prewarmed += warmed
+        self._batch["prewarmed"] += warmed
         return warmed
 
     def run(self, traffic: list[tuple[str, int, bytes]]) -> list[Delivery]:
@@ -512,30 +512,34 @@ class Network:
             self._path_cache[key] = walk
         return result, after
 
-    def _replay_walk(self, walk: _CachedWalk) -> InjectionResult:
+    def _apply_walk(self, walk: CachedWalk, count: int) -> None:
+        """Move every counter ``count`` packets of ``walk`` move."""
+        self.dropped_hop_limit += walk.dropped_hop_limit * count
+        self.dropped_link_down += walk.dropped_link_down * count
+        self.forwarded_hops += walk.forwarded * count
+        for opl, packets, drops, deltas in walk.ops:
+            opl.packets += packets * count
+            opl.drops += drops * count
+            counters = opl.counters
+            for name, delta in deltas:
+                counters[name] = counters.get(name, 0) + delta * count
+
+    def _replay_walk(self, walk: CachedWalk) -> InjectionResult:
         first = len(self.deliveries)
         for at, frame, hops in walk.deliveries:
             self.deliveries.append(Delivery(at, frame, hops))
-        self.dropped_hop_limit += walk.dropped
-        self.dropped_link_down += walk.link_down
-        self.forwarded_hops += walk.forwarded
-        for opl, packets, drops, deltas in walk.ops:
-            opl.packets += packets
-            opl.drops += drops
-            counters = opl.counters
-            for name, delta in deltas:
-                counters[name] = counters.get(name, 0) + delta
+        self._apply_walk(walk, 1)
         return InjectionResult(
             self.deliveries[first:],
-            dropped_hop_limit=walk.dropped,
-            dropped_link_down=walk.link_down,
+            dropped_hop_limit=walk.dropped_hop_limit,
+            dropped_link_down=walk.dropped_link_down,
             hop_limit_sites=walk.hop_limit_sites,
             link_down_sites=walk.link_down_sites,
         )
 
     def _walk(
         self, device: str, port: int, frame: bytes, record: bool
-    ) -> tuple[InjectionResult, Optional[_CachedWalk]]:
+    ) -> tuple[InjectionResult, Optional[CachedWalk]]:
         """The slow hop walk; optionally records a replayable walk.
 
         Recording returns ``None`` (uncacheable) when the walk invoked a
@@ -625,11 +629,11 @@ class Network:
             )
             if d_packets or d_drops or deltas:
                 ops.append((opl, d_packets, d_drops, deltas))
-        walk = _CachedWalk(
+        walk = CachedWalk(
             deliveries=tuple((d.at, d.frame, d.hops) for d in result),
-            dropped=result.dropped_hop_limit,
+            dropped_hop_limit=result.dropped_hop_limit,
             forwarded=self.forwarded_hops - forwarded_before,
-            link_down=result.dropped_link_down,
+            dropped_link_down=result.dropped_link_down,
             ops=tuple(ops),
             link_down_sites=result.link_down_sites,
             hop_limit_sites=result.hop_limit_sites,
@@ -645,7 +649,6 @@ class Network:
         if not enabled:
             self._path_cache.clear()
             self._path_generation = -1
-            self._batch.clear()
         for project in self._devices.values():
             cache = getattr(project, "fastpath", None)
             if cache is not None:
@@ -653,24 +656,22 @@ class Network:
                 if not enabled:
                     cache.clear()
 
-    def set_batch(self, enabled: bool) -> None:
-        """Enable/disable the compiled-closure batch tier alone.
-
-        Orthogonal to :meth:`set_fastpath`: the A/B switch behind
-        ``nf-mon fabric --no-batch``, which keeps the flow caches warm
-        but forces :meth:`inject_batch` to decline so callers take the
-        per-packet reference path."""
-        self.batch_enabled = enabled
-        if not enabled:
-            self._batch.clear()
-
     @property
     def path_entries(self) -> int:
         return len(self._path_cache)
 
     def batch_stats(self) -> dict[str, int]:
-        """The batch tier's operational counters (never fingerprinted)."""
-        return self._batch.stats()
+        """Batch replay's operational counters (never fingerprinted):
+
+        * ``replays`` / ``replayed_packets`` — :meth:`inject_batch`
+          calls that replayed, and the packets they carried;
+        * ``cold_misses`` — calls that found no valid walk and told the
+          caller to inject per-packet;
+        * ``splits`` — the cold misses whose own walk had just been
+          invalidated by a mutation (the batch split at it);
+        * ``prewarmed`` — walks cached by :meth:`warm_paths` dry walks.
+        """
+        return dict(self._batch)
 
     def fastpath_stats(self) -> dict[str, int]:
         """Aggregate flow-cache counters: path cache + device caches."""

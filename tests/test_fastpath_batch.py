@@ -1,11 +1,11 @@
-"""The S27 batch tier: compiled flow closures and coalesced dispatch.
+"""S27 batch replay: path-cache walks applied × n, coalesced dispatch.
 
 Three contracts under test.  **Counter identity**: a warm
 ``inject_batch(n)`` must move every observable counter exactly as far
 as ``n`` sequential ``inject`` calls — per-device OPL packets, drops
 and named counters, network loss tallies, forwarded hops and template
 deliveries.  **Invalidation**: any wiring or table mutation between
-batches must split the batch at the generation boundary (stale closure
+batches must split the batch at the generation boundary (stale walk
 → ``None`` → the caller re-warms through the real pipeline).
 **Fingerprint invariance**: the FabricReport and INT fingerprints are
 byte-identical across {batch on/off} × {cache on/off} × {1/2/4
@@ -15,7 +15,6 @@ an execution strategy, never an observable.
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -24,6 +23,7 @@ from repro.fabric import get_topology, run_sharded
 from repro.fabric.scheduler import FlowEngine, LinkSchedule, run_flows
 from repro.fabric.workload import WorkloadSpec
 from repro.faults import CtrlFaultSpec, FaultPlan, LinkStateSpec, get_plan
+from repro.faults import inject as arm_faults
 from repro.host.nfmon import main as nfmon_main
 from repro.projects.reference_switch import ReferenceSwitch
 from repro.testenv.topology import Network
@@ -62,8 +62,9 @@ class TestInjectBatch:
         for net in (batched, serial):
             net.inject("s1", 0, frame)  # learn
             net.inject("s1", 0, frame)  # fill + warm the walk
-        result = batched.inject_batch("s1", 0, frame, 6)
-        assert result is not None and result.count == 6
+        before = counter_state(batched)
+        assert batched.inject_batch("s1", 0, frame, 6) is not None
+        assert counter_state(batched) != before
         for _ in range(6):
             serial.inject("s1", 0, frame)
         assert counter_state(batched) == counter_state(serial)
@@ -85,19 +86,30 @@ class TestInjectBatch:
         net.set_link_state("s1", "s2", True)
         assert net.inject_batch("s1", 0, frame, 3) is None
         assert net.batch_stats()["splits"] == 1
-        # One real inject re-warms; the next batch compiles again.
+        # One real inject re-warms; the next batch replays again.
         net.inject("s1", 0, frame)
         assert net.inject_batch("s1", 0, frame, 3) is not None
-        assert net.batch_stats()["compiled"] == 2
+        assert net.batch_stats()["replays"] == 2
 
-    def test_set_batch_off_clears_and_declines(self):
+    def test_uncacheable_or_fastpath_off_declines_without_side_effects(self):
         net = two_switch_fabric()
         frame = udp_frame(1, 2)
-        net.inject("s1", 0, frame)
+        with arm_faults(get_plan("oq-pressure"), project=net.device("s2")):
+            net.inject("s1", 0, frame)
+            net.inject("s1", 0, frame)  # armed faults: never memoized
+            before = counter_state(net)
+            packets = [net.device(n).opl.packets for n in net.device_names()]
+            assert net.inject_batch("s1", 0, frame, 4) is None
+            assert counter_state(net) == before
+            assert [net.device(n).opl.packets
+                    for n in net.device_names()] == packets
+        assert net.batch_stats()["cold_misses"] == 1
+        assert net.batch_stats()["replays"] == 0
+        assert net.path_entries == 0
+        # Disarmed, the walk warms and replays — until the fast path is off.
         net.inject("s1", 0, frame)
         assert net.inject_batch("s1", 0, frame, 2) is not None
-        net.set_batch(False)
-        assert net.batch_stats()["entries"] == 0
+        net.set_fastpath(False)
         assert net.inject_batch("s1", 0, frame, 2) is None
 
     def test_count_must_be_positive(self):
@@ -117,7 +129,6 @@ class TestChurnProperty:
         rng = random.Random(2701)
         batched = two_switch_fabric()
         cached = two_switch_fabric()
-        cached.set_batch(False)
         plain = two_switch_fabric()
         plain.set_fastpath(False)
         fabrics = (batched, cached, plain)
@@ -269,14 +280,3 @@ class TestNfmonBatch:
         out = capsys.readouterr().out
         assert "batch tier:" in out
         assert "replayed_packets" in out
-
-    def test_no_batch_flag_same_fingerprint(self, capsys):
-        args = ["fabric", "--topo", "leaf-spine",
-                "--workload", "uniform-small", "--format", "json"]
-        assert nfmon_main(args) == 0
-        with_batch = json.loads(capsys.readouterr().out)
-        assert nfmon_main(args + ["--no-batch"]) == 0
-        without = json.loads(capsys.readouterr().out)
-        assert with_batch["fingerprint"] == without["fingerprint"]
-        assert with_batch["batch"]["replayed_packets"] > 0
-        assert without["batch"].get("replayed_packets", 0) == 0

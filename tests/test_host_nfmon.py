@@ -206,6 +206,20 @@ class TestFabricCommand:
         assert "fingerprint:" in out
         assert "healthy: True" in out
 
+    def test_rate_rows_are_labelled_by_phase(self, capsys):
+        assert main(["fabric", "--topo", "leaf-spine",
+                     "--workload", "uniform-small"]) == 0
+        rows = dict(
+            line.strip().rsplit(None, 1)
+            for line in capsys.readouterr().out.splitlines()
+            if "packets/sec" in line
+        )
+        assert set(rows) == {"end-to-end packets/sec",
+                             "run-phase packets/sec"}
+        # Wall time includes setup, so the end-to-end rate is the lower.
+        e2e = float(rows["end-to-end packets/sec"])
+        assert 0 < e2e <= float(rows["run-phase packets/sec"])
+
     def test_per_flow_table(self, capsys):
         assert main(["fabric", "--topo", "star-3", "--per-flow"]) == 0
         out = capsys.readouterr().out
