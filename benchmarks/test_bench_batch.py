@@ -1,4 +1,4 @@
-"""E23 — batched data plane: compiled flow closures vs per-packet replay.
+"""E23 — batched data plane: path-cache batch replay vs per-packet replay.
 
 Runs the E18 preset (leaf-spine, 400 uniform flows) across the
 {batch on/off} × {cache on/off} × {1/4 shard} grid and asserts the
@@ -9,10 +9,10 @@ S27 safety net and the perf claim together:
   execution strategy; nothing observable may move.
 * **Speedup**: the batch-on/cache-on *run phase* carries ≥ 3× the
   packets/sec of the batch-off/cache-on baseline at 1 shard.  The run
-  phase (``report.elapsed_s``) is the dispatch loop only: closure
-  prewarm happens at setup by design (that is what "precompiled"
-  means), and the setup/run split is recorded so neither phase hides
-  in the other.  3× is conservative — observed ratios are >4× here
+  phase (``report.elapsed_s``) is the dispatch loop only: the
+  path-cache prewarm (one dry walk per flow direction) happens at
+  setup by design, and the setup/run split is recorded so neither
+  phase hides in the other.  3× is conservative — observed ratios are >4× here
   and >10× against the uncached path.
 
 Appends the same-shaped record to ``BENCH_batch.json`` so the CI guard

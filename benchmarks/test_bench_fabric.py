@@ -6,12 +6,12 @@ fingerprint is byte-identical — the determinism contract that makes the
 parallelism free of observable effect.
 
 **Setup vs run.**  Each worker rebuilds its own network replica from
-the spec and prewarms flow closures before the first event dispatches;
+the spec and prewarms its path cache before the first event dispatches;
 that per-shard setup cost does not shrink with more shards (every
 replica rebuilds the whole fabric), so folding it into one wall-clock
 number understates the scale-out of the part that *does* parallelise.
 The bench therefore splits ``setup_s = wall - report.elapsed_s``
-(replica rebuild + admission + closure prewarm) from the run phase
+(replica rebuild + admission + path-cache prewarm) from the run phase
 (``report.elapsed_s``, the slowest shard's dispatch loop) and records
 both pps series.  The speedup assertion (≥ 1.8× at 4 shards, on the
 run phase) only arms on machines with ≥ 4 CPUs: sharding pure-Python

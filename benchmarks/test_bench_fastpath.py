@@ -11,8 +11,8 @@ off — and reports packets/sec for each, asserting two things:
   cache-off one.  Unlike E17's scale-out this needs no extra cores
   (the cache saves work instead of spreading it), so the assertion
   always arms.  The guard reads ``report.elapsed_s`` (dispatch only),
-  not wall clock: with the S27 batch tier prewarming closures at
-  setup, wall time is dominated by replica build + precompile and
+  not wall clock: with the S27 batch tier prewarming the path cache
+  at setup, wall time is dominated by replica build + prewarm and
   would understate the dispatch-loop win the guard pins.  3× is
   deliberately conservative — with batching the observed run-phase
   ratio is >10×.

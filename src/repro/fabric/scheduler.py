@@ -26,7 +26,10 @@ The interleaving itself is still real: a heap of per-packet events keyed
 packets of concurrent flows alternate rather than running flow-by-flow,
 and ``max_inflight`` bounds how many flows' events are resident at once
 (a memory bound only — it never shifts a packet's tick, which would
-leak scheduling into the flap-epoch draws).
+leak scheduling into the flap-epoch draws).  The heap holds plain
+tuples ``(tick, rr, flow_id, is_response, pkt_index, event)``: the five
+keys are unique per event, so tuple comparison orders the heap without
+ever reaching the :class:`_Event` payload.
 """
 
 from __future__ import annotations
@@ -467,39 +470,42 @@ class _LinkStateController:
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
-@dataclass(order=True)
+@dataclass(slots=True)
 class _Event:
-    """One packet send, ordered for the interleaving heap."""
+    """One packet send.  The heap orders it by the tuple it rides in."""
 
     tick: int
-    rr: int          # seeded per-flow hash: round-robin tie-break
     flow_id: int
     is_response: bool
     pkt_index: int
-    flow: Flow = field(compare=False)
-    record: FlowRecord = field(compare=False)
-    session: FaultSession = field(compare=False)
+    flow: Flow
+    record: FlowRecord
+    session: FaultSession
+
+
+#: A heap entry: ``(tick, rr, flow_id, is_response, pkt_index, event)``,
+#: where ``rr`` is the seeded per-flow round-robin tie-break.
+_HeapEntry = tuple[int, int, int, bool, int, _Event]
 
 
 def _flow_events(flow: Flow, record: FlowRecord, session: FaultSession,
-                 rr_seed: int) -> list[_Event]:
+                 rr_seed: int) -> list[_HeapEntry]:
     rr = derive_seed(rr_seed, "rr", flow.flow_id) & 0xFFFFFFFF
-    events = [
-        _Event(flow.start_tick + i * flow.gap_ticks, rr, flow.flow_id,
-               False, i, flow, record, session)
-        for i in range(flow.packets)
-    ]
-    if flow.response_packets:
+    fid = flow.flow_id
+    entries = []
+    for is_response, first, count in (
+        (False, flow.start_tick, flow.packets),
         # Responses start strictly after the last request tick, so by
         # heap order every request outcome is on the record before the
         # first response is considered.
-        first = flow.start_tick + flow.packets * flow.gap_ticks + 1
-        events.extend(
-            _Event(first + i * flow.gap_ticks, rr, flow.flow_id,
-                   True, i, flow, record, session)
-            for i in range(flow.response_packets)
-        )
-    return events
+        (True, flow.start_tick + flow.packets * flow.gap_ticks + 1,
+         flow.response_packets),
+    ):
+        for i in range(count):
+            tick = first + i * flow.gap_ticks
+            entries.append((tick, rr, fid, is_response, i, _Event(
+                tick, fid, is_response, i, flow, record, session)))
+    return entries
 
 
 def flow_frame(
@@ -769,7 +775,7 @@ class FlowEngine:
         # at a time; a flow's events enter together so its packet
         # spacing holds.
         self._pending = sorted(flows, key=lambda f: (f.start_tick, f.flow_id))
-        self._heap: list[_Event] = []
+        self._heap: list[_HeapEntry] = []
         self._resident: dict[int, int] = {}  # flow_id -> resident events
         self._cursor = 0
         self._dispatched = 0
@@ -817,10 +823,10 @@ class FlowEngine:
             session = (self._plan.derived("fabric", flow.flow_id).session()
                        if self._plan is not None
                        else FaultPlan("none").session())
-            events = _flow_events(flow, record, session, self.spec.seed)
-            self._resident[flow.flow_id] = len(events)
-            for event in events:
-                heapq.heappush(self._heap, event)
+            entries = _flow_events(flow, record, session, self.spec.seed)
+            self._resident[flow.flow_id] = len(entries)
+            for entry in entries:
+                heapq.heappush(self._heap, entry)
 
     def _dispatch(self, coalesce: bool) -> int:
         """Pop the next live event and carry it; returns packets carried.
@@ -835,7 +841,7 @@ class FlowEngine:
         Returns 0 when the heap drained without a live event.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[-1]
             if self._consumed:
                 key = (event.flow_id, event.is_response, event.pkt_index)
                 if key in self._consumed:
@@ -909,12 +915,12 @@ class FlowEngine:
 
     @property
     def _last_tick(self) -> int:
-        return self._heap[0].tick if self._heap else 0
+        return self._heap[0][0] if self._heap else 0
 
     @property
     def next_tick(self) -> Optional[int]:
         """The tick of the next event, or ``None`` when finished."""
-        return self._heap[0].tick if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     @property
     def pending_events(self) -> int:
@@ -961,7 +967,7 @@ class FlowEngine:
         while self._heap:
             if predicate is not None and predicate(self):
                 break
-            if tick is not None and self._heap[0].tick > tick:
+            if tick is not None and self._heap[0][0] > tick:
                 break
             done += self._dispatch(False)
         if (tick is not None and self.clock is not None

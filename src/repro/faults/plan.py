@@ -5,10 +5,13 @@ rates, with what burst bounds.  Opening a :class:`FaultSession` turns it
 into deterministic per-site decision streams — each site gets its own
 ``random.Random`` seeded from ``sha256(seed, site)``, so the schedule
 depends only on ``(seed, spec)`` and never on Python's salted ``hash()``
-or on how other sites interleave.  Two sessions from the same plan
-produce bit-identical schedules; that is what lets the unified test
-environment run the *same* fault plan against the ``sim`` and ``hw``
-targets and demand identical recovery counters.
+or on how other sites interleave.  A site's RNG is seeded on that
+site's first draw: each one holds ~2.5 KB of Mersenne Twister state,
+and the fabric engine opens one session per flow, most of which never
+draw at all.  Two sessions from the same plan produce bit-identical
+schedules; that is what lets the unified test environment run the
+*same* fault plan against the ``sim`` and ``hw`` targets and demand
+identical recovery counters.
 
 The four sites mirror how real boards fail:
 
@@ -273,16 +276,30 @@ class FaultReport:
         return self.counters.get("link_retransmits", 0)
 
 
+class _SiteRngs(dict):
+    """Per-site RNGs, each seeded from ``_site_seed`` on its first use."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, site: str) -> random.Random:
+        rng = self[site] = random.Random(_site_seed(self.seed, site))
+        return rng
+
+
 class FaultSession:
     """Runtime state of one plan execution: per-site RNGs, bursts, counters.
 
     All draws are deterministic functions of ``(plan.seed, site, draw
-    index)``; consulting one site never perturbs another.
+    index)``; consulting one site never perturbs another.  Each site's
+    RNG is seeded on that site's first draw, so a session that never
+    draws (a clean flow) costs no Mersenne Twister state at all.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._rng = {site: random.Random(_site_seed(plan.seed, site)) for site in SITES}
+        self._rng = _SiteRngs(plan.seed)
         self._burst = {site: 0 for site in SITES}
         self.counters: Counter[str] = Counter()
         #: Telemetry hook: ``hook(site, outcome)`` called for every fault

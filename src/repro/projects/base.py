@@ -16,7 +16,7 @@ Port convention: 8 logical ports — physical nf0..nf3 (one-hot bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.axilite import AxiLiteInterconnect
@@ -49,10 +49,17 @@ PROJECT_REG_SIZE = 0x1_0000
 
 @dataclass(frozen=True)
 class PortRef:
-    """A logical port: ('phys'|'dma', index)."""
+    """A logical port: ('phys'|'dma', index).
+
+    ``bit`` is the port's one-hot metadata bit, fixed at construction:
+    the forwarding path reads it for every port on every hop.  It is
+    derived from ``(kind, index)``, so it takes no part in equality,
+    hashing or ``repr``.
+    """
 
     kind: str
     index: int
+    bit: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("phys", "dma"):
@@ -60,12 +67,9 @@ class PortRef:
         limit = NUM_PHYS_PORTS if self.kind == "phys" else NUM_DMA_PORTS
         if not 0 <= self.index < limit:
             raise ValueError(f"{self.kind} port index {self.index} out of range")
-
-    @property
-    def bit(self) -> int:
-        if self.kind == "phys":
-            return phys_port_bit(self.index)
-        return dma_port_bit(self.index)
+        bit = (phys_port_bit(self.index) if self.kind == "phys"
+               else dma_port_bit(self.index))
+        object.__setattr__(self, "bit", bit)
 
     def __str__(self) -> str:
         return f"nf{self.index}" if self.kind == "phys" else f"dma{self.index}"

@@ -7,11 +7,14 @@ import pytest
 from repro.fabric import (
     FabricReport,
     FlowRecord,
+    WorkloadSpec,
+    generate_flows,
     get_topology,
     get_workload,
     run_flows,
 )
-from repro.faults import FaultPlan, LinkFaultSpec, get_plan
+from repro.fabric.scheduler import FlowEngine
+from repro.faults import FaultPlan, LinkFaultSpec, derive_seed, get_plan
 from repro.telemetry import TelemetrySession, probe_fabric
 
 pytestmark = pytest.mark.fabric
@@ -57,6 +60,47 @@ class TestCleanRuns:
         report = _run(topo="fat-tree-4")
         assert sum(report.hops_hist.values()) == report.delivered
         assert set(report.hops_hist) <= {1, 3, 5}
+
+
+class TestDispatchOrder:
+    """The heap pops events in ``(tick, rr, flow_id, is_response,
+    pkt_index)`` order.  Fingerprints cannot see the order, but the
+    shell's ``step``/``run_until`` can."""
+
+    def test_step_follows_the_event_key_order(self):
+        topology = get_topology("leaf-spine").build()
+        # Bursty waves start many flows on the same tick, so the
+        # seeded round-robin hash decides most ties.
+        spec = WorkloadSpec("bursty", flows=24, seed=5, packets_per_flow=3,
+                            window_ticks=64, burst_gap=16)
+        flows = generate_flows(topology.host_names(), spec)
+        keys = []
+        for f in flows:
+            rr = derive_seed(spec.seed, "rr", f.flow_id) & 0xFFFFFFFF
+            first_response = f.start_tick + f.packets * f.gap_ticks + 1
+            keys += [(f.start_tick + i * f.gap_ticks, rr, f.flow_id, False, i)
+                     for i in range(f.packets)]
+            keys += [(first_response + i * f.gap_ticks, rr, f.flow_id, True, i)
+                     for i in range(f.response_packets)]
+        keys.sort()
+        ticks = [k[0] for k in keys]
+        assert len(set(ticks)) < len(ticks)  # ties exist for rr to break
+
+        engine = FlowEngine(topology, spec, max_inflight=len(flows))
+        records = {r.flow_id: r for r in engine._records}
+        assert len(records) == len(flows)  # every flow resident up front
+        seen = {fid: 0 for fid in records}
+        order = []
+        while not engine.finished:
+            tick = engine.next_tick
+            assert engine.step(1) == 1
+            moved = [fid for fid, r in records.items()
+                     if r.attempted != seen[fid]]
+            assert len(moved) == 1
+            seen[moved[0]] = records[moved[0]].attempted
+            order.append((tick, moved[0]))
+        assert order == [(k[0], k[2]) for k in keys]
+        assert engine.report().delivered == len(keys)
 
 
 class TestFaultyRuns:

@@ -1,17 +1,27 @@
 """The fault layer itself: seeded determinism, burst bounds, the registry."""
 
+import importlib
+import random
+import types
+
 import pytest
 
 from repro.faults import (
+    CtrlFaultSpec,
     DmaFaultSpec,
     FaultInjector,
     FaultPlan,
     LinkFaultSpec,
+    LinkStateSpec,
     MmioFaultSpec,
     OqFaultSpec,
+    ShardFaultSpec,
     available_plans,
     get_plan,
 )
+from repro.faults.plan import SITES
+
+plan_module = importlib.import_module("repro.faults.plan")
 
 pytestmark = pytest.mark.faults
 
@@ -59,6 +69,87 @@ class TestDeterminism:
             mixed.mmio_read_faults()
             mixed.dma_fault("rx_completion")
         assert link_only == interleaved
+
+
+class TestLazySiteSeeding:
+    """A session seeds each site's RNG on that site's first draw."""
+
+    EVERY_SITE = FaultPlan(
+        "every-site", seed=21,
+        link=LinkFaultSpec(drop_rate=0.2, corrupt_rate=0.1, lose_rate=0.05,
+                           max_burst=2, max_attempts=6),
+        dma=DmaFaultSpec(stall_rate=0.2, drop_completion_rate=0.2,
+                         drop_doorbell_rate=0.3, max_burst=2),
+        mmio=MmioFaultSpec(timeout_rate=0.3),
+        oq=OqFaultSpec(spike_rate=0.3),
+        ctrl=CtrlFaultSpec(write_drop_rate=0.2, write_corrupt_rate=0.1,
+                           reset_rate=0.3, flap_rate=0.3),
+        link_state=LinkStateSpec(down_rate=0.3),
+        shard=ShardFaultSpec(crash_rate=0.2, hang_rate=0.2,
+                             corrupt_rate=0.2),
+    )
+
+    CALLS = (
+        lambda s: s.link_attempt(),
+        lambda s: s.link_transfer(),
+        lambda s: s.mangle_wire(bytes(range(64))),
+        lambda s: s.dma_fault("rx_completion"),
+        lambda s: s.dma_fault("tx_fetch"),
+        lambda s: s.dma_fault("doorbell"),
+        lambda s: s.mmio_read_faults(),
+        lambda s: s.oq_pressure(),
+        lambda s: s.ctrl_write(),
+        lambda s: s.device_reset_faults(),
+        lambda s: s.link_flap_faults(),
+        lambda s: s.link_down_faults(),
+        lambda s: s.link_down_epochs(),
+        lambda s: s.shard_fault(),
+    )
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Count ``random.Random`` constructions inside the plan module."""
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(plan_module, "random",
+                            types.SimpleNamespace(Random=CountingRandom))
+        return built
+
+    def test_lazy_seeding_changes_no_draw(self):
+        calls = list(self.CALLS) * 25
+        random.Random(4).shuffle(calls)
+        lazy = self.EVERY_SITE.session()
+        eager = self.EVERY_SITE.session()
+        for site in SITES:
+            eager._rng[site]  # force every RNG to exist before any draw
+        assert list(eager._rng) == list(SITES)
+        assert [call(lazy) for call in calls] == [call(eager) for call in calls]
+        assert lazy.counters == eager.counters
+        # The plan really armed every site, in a different seeding order.
+        assert set(lazy._rng) == set(SITES)
+        assert list(lazy._rng) != list(SITES)
+
+    def test_clean_session_builds_no_rng(self, constructions):
+        session = FaultPlan("none").session()
+        assert session.link_transfer()
+        assert session.shard_fault() is None
+        assert constructions == []
+
+    def test_link_only_plan_builds_one_rng_on_first_transfer(
+            self, constructions):
+        session = get_plan("lossy-link", seed=9).session()
+        assert constructions == []
+        session.link_transfer()
+        assert constructions == [(plan_module._site_seed(9, "link"),)]
+        for _ in range(20):
+            session.link_transfer()
+            session.mmio_read_faults()  # unarmed site: no draw, no RNG
+        assert len(constructions) == 1
 
 
 class TestBurstBounds:

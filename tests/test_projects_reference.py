@@ -1,8 +1,12 @@
 """Reference projects end to end, in both harness modes (claims C2/C6)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.board.fpga import report_for_design
+from repro.core.metadata import dma_port_bit, phys_port_bit
 from repro.projects.base import ALL_PORTS, PortRef, ReferencePipeline
 from repro.projects.reference_nic import ReferenceNic
 from repro.projects.reference_router import ReferenceRouter, default_router_tables
@@ -24,6 +28,33 @@ class TestPortRef:
             PortRef("phys", 4)
         with pytest.raises(ValueError):
             PortRef("usb", 0)
+        with pytest.raises(ValueError):
+            PortRef("dma", -1)
+
+    def test_bit_matches_metadata_helpers(self):
+        for port in ALL_PORTS:
+            helper = phys_port_bit if port.kind == "phys" else dma_port_bit
+            assert port.bit == helper(port.index)
+
+    def test_bit_stays_out_of_eq_hash_and_repr(self):
+        port = PortRef("dma", 2)
+        twin = PortRef("dma", 2)
+        object.__setattr__(twin, "bit", 0)  # only kind and index count
+        assert port == twin
+        assert hash(port) == hash(twin)
+        assert hash(port) == hash(("dma", 2))  # the generated field hash
+        assert repr(port) == "PortRef(kind='dma', index=2)"
+
+    def test_bit_survives_pickle_and_replace(self):
+        for port in ALL_PORTS:
+            clone = pickle.loads(pickle.dumps(port))
+            assert clone == port and clone.bit == port.bit
+        moved = dataclasses.replace(PortRef("phys", 1), index=3)
+        assert moved.bit == phys_port_bit(3)
+        flipped = dataclasses.replace(PortRef("phys", 1), kind="dma")
+        assert flipped.bit == dma_port_bit(1)
+        with pytest.raises(ValueError):
+            dataclasses.replace(PortRef("phys", 1), index=9)
 
     def test_all_ports(self):
         assert len(ALL_PORTS) == 8
