@@ -11,12 +11,16 @@ the simulator itself.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import re
 import sys
 import time
 from pathlib import Path
 
 import pytest
+
+from perfbench.run import git_sha
 
 
 def pytest_configure(config):
@@ -31,8 +35,10 @@ def bench_recorder(request):
     """Append every bench's timing record to ``BENCH_<name>.json``.
 
     One JSON list per bench node, next to the bench files — the
-    append-only history that lets a later session diff simulator
-    performance across commits.  Benches that did not run the
+    append-only history that lets performance be diffed across
+    commits.  Each record names the commit, Python version and CPU
+    count it ran on, plus the bench's ``extra_info``.  This is the only
+    writer of bench history.  Benches that did not run the
     ``benchmark`` fixture (or ran with ``--benchmark-disable``) record
     nothing.
     """
@@ -49,6 +55,9 @@ def bench_recorder(request):
     history.append(
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "git_sha": git_sha(),
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
             "node": request.node.nodeid,
             "mean_s": stats.mean,
             "min_s": stats.min,

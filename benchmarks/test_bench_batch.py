@@ -15,16 +15,14 @@ S27 safety net and the perf claim together:
   phase hides in the other.  3× is conservative — observed ratios are >4× here
   and >10× against the uncached path.
 
-Appends the same-shaped record to ``BENCH_batch.json`` so the CI guard
-and trend tooling have a stable name to read.
+The ``bench_recorder`` fixture appends the record, ``extra_info``
+included, to ``BENCH_test_e23_batch_tier.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.fabric import WorkloadSpec, get_topology, run_sharded
 
@@ -113,19 +111,6 @@ def test_e23_batch_tier(benchmark):
         "cpus": cpus,
         "fingerprint": base_report.fingerprint(),
     })
-    path = Path(__file__).parent / "BENCH_batch.json"
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "node": "benchmarks/test_bench_batch.py::test_e23_batch_tier",
-        "mean_s": measured[(1, True, True)][1],
-        "min_s": min(wall for _, wall in measured.values()),
-        "max_s": max(wall for _, wall in measured.values()),
-        "stddev_s": 0.0,
-        "rounds": 1,
-        "extra_info": dict(benchmark.extra_info),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n")
 
     assert speedup >= TARGET_SPEEDUP, (
         f"batch-on run-phase speedup {speedup:.2f}x over the cache-on "

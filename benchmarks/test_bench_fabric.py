@@ -18,17 +18,14 @@ run phase) only arms on machines with ≥ 4 CPUs: sharding pure-Python
 CPU-bound work cannot beat 1× on fewer cores, and the fingerprint —
 not the wall clock — is the correctness claim.
 
-Besides the per-node bench history the ``bench_recorder`` fixture keeps,
-this bench appends the same-shaped record to ``BENCH_fabric.json`` so
-the scale-out series has a stable, tool-friendly name.
+The ``bench_recorder`` fixture appends the record, ``extra_info``
+included, to ``BENCH_test_e17_fabric_scaleout.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.fabric import WorkloadSpec, get_topology, run_sharded
 
@@ -98,19 +95,6 @@ def test_e17_fabric_scaleout(benchmark):
         "cpus": cpus,
         "fingerprint": base_report.fingerprint(),
     })
-    path = Path(__file__).parent / "BENCH_fabric.json"
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "node": "benchmarks/test_bench_fabric.py::test_e17_fabric_scaleout",
-        "mean_s": base_wall,
-        "min_s": min(wall for _, wall in measured.values()),
-        "max_s": max(wall for _, wall in measured.values()),
-        "stddev_s": 0.0,
-        "rounds": 1,
-        "extra_info": dict(benchmark.extra_info),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n")
 
     if cpus >= 4:
         assert speedup_run >= TARGET_SPEEDUP, (

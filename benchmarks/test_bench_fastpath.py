@@ -20,17 +20,14 @@ off — and reports packets/sec for each, asserting two things:
 The per-flow frame-template satellite is micro-asserted here too: the
 scheduler's prebuilt frame must equal a fresh ``make_udp_frame`` build.
 
-Besides the per-node history the ``bench_recorder`` fixture keeps, the
-same-shaped record is appended to ``BENCH_fastpath.json`` so the CI
-guard (and trend tooling) has a stable name to read.
+The ``bench_recorder`` fixture appends the record, ``extra_info``
+included, to ``BENCH_test_e18_fastpath.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.fabric import WorkloadSpec, get_topology, run_sharded
 from repro.fabric.scheduler import flow_frame
@@ -136,19 +133,6 @@ def test_e18_fastpath(benchmark):
         "cpus": cpus,
         "fingerprint": base_report.fingerprint(),
     })
-    path = Path(__file__).parent / "BENCH_fastpath.json"
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "node": "benchmarks/test_bench_fastpath.py::test_e18_fastpath",
-        "mean_s": measured[(1, True)][1],
-        "min_s": min(wall for _, wall in measured.values()),
-        "max_s": max(wall for _, wall in measured.values()),
-        "stddev_s": 0.0,
-        "rounds": 1,
-        "extra_info": dict(benchmark.extra_info),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n")
 
     assert speedup >= TARGET_SPEEDUP, (
         f"cache-on run-phase speedup {speedup:.2f}x below the "

@@ -18,16 +18,14 @@ INT's stamping cost is recorded as ``int_overhead`` (INT-on wall over
 INT-off wall, caches on) — reported, not asserted, since the trailer
 work is genuine extra computation, not an optimisation to guard.
 
-The record is appended to ``BENCH_int.json`` for the CI guard and
-trend tooling.
+The ``bench_recorder`` fixture appends the record, ``extra_info``
+included, to ``BENCH_test_e20_int_overhead.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.fabric import WorkloadSpec, get_topology, run_sharded
 
@@ -110,19 +108,6 @@ def test_e20_int_overhead(benchmark):
         "cpus": cpus,
         "fingerprint": int_report.fingerprint(),
     })
-    path = Path(__file__).parent / "BENCH_int.json"
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "node": "benchmarks/test_bench_int.py::test_e20_int_overhead",
-        "mean_s": walls[(1, True, True)],
-        "min_s": min(walls.values()),
-        "max_s": max(walls.values()),
-        "stddev_s": 0.0,
-        "rounds": 1,
-        "extra_info": dict(benchmark.extra_info),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n")
 
     assert speedup_off >= TARGET_SPEEDUP, (
         f"cache-on speedup {speedup_off:.2f}x below the {TARGET_SPEEDUP}x "

@@ -1,29 +1,25 @@
-"""E21 — supervision overhead and crash-recovery latency.
+"""E21 — crash-recovery cost of the supervised shard executor.
 
-Three runs of one leaf-spine workload at 4 shards: the legacy bare
-pool (the pre-supervision reference), the supervised executor on a
-clean schedule, and the supervised executor under the ``shard-killer``
-plan (every worker attempt crashes; every shard lands via the inline
-fallback).  Reports the supervision overhead ratio (supervised /
-bare-pool wall), the recovery cost of the all-crash schedule, and
-asserts all three fingerprints are byte-identical — supervision and
-chaos are operational, never observable.
+Two runs of one leaf-spine workload at 4 shards: the supervised
+executor on a clean schedule, and the supervised executor under the
+``shard-killer`` plan (every worker attempt crashes; every shard lands
+via the inline fallback).  Reports the recovery cost of the all-crash
+schedule and asserts both fingerprints are byte-identical — supervision
+and chaos are operational, never observable.
 
-The overhead ceiling (≤ 1.10× vs the bare pool) only arms on machines
-with ≥ 2 CPUs: on one core both executors serialize and the ratio
-measures scheduler noise, not supervision.  The fingerprint assertions
-arm everywhere.
+There is no unsupervised executor left to compare against, so no
+overhead ratio is measured here; perfbench's ``short-flows-sharded``
+workload (2 supervised shards) tracks the supervised executor's
+end-to-end cost instead.
 
-Besides the per-node history the ``bench_recorder`` fixture keeps, the
-record also lands in ``BENCH_shard.json`` under a stable name.
+The ``bench_recorder`` fixture appends the record, ``extra_info``
+included, to ``BENCH_test_e21_supervision_overhead.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.fabric import SupervisorOptions, WorkloadSpec, get_topology, run_sharded
 from repro.faults import get_plan
@@ -34,7 +30,6 @@ TOPOLOGY = "leaf-spine"
 WORKLOAD = WorkloadSpec("uniform", flows=400, seed=0,
                         packets_per_flow=4, window_ticks=512)
 SHARDS = 4
-OVERHEAD_CEILING = 1.10
 #: Fast retry clock so the killer run measures recovery, not backoff.
 KILLER_OPTIONS = SupervisorOptions(backoff_base_s=0.01, backoff_cap_s=0.05,
                                    poll_s=0.01)
@@ -46,7 +41,6 @@ def test_e21_supervision_overhead(benchmark):
     def sweep():
         out = {}
         for mode, kwargs in (
-            ("bare-pool", {"supervised": False}),
             ("supervised", {}),
             ("killer", {"chaos": get_plan("shard-killer", seed=3),
                         "supervisor": KILLER_OPTIONS}),
@@ -59,27 +53,25 @@ def test_e21_supervision_overhead(benchmark):
     measured = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     fingerprints = {report.fingerprint() for report, _ in measured.values()}
-    assert len(fingerprints) == 1, "supervision/chaos changed the fingerprint"
+    assert len(fingerprints) == 1, "chaos changed the fingerprint"
 
-    bare_report, bare_wall = measured["bare-pool"]
-    _, clean_wall = measured["supervised"]
+    clean_report, clean_wall = measured["supervised"]
     killer_report, killer_wall = measured["killer"]
-    assert bare_report.healthy()
+    assert clean_report.healthy()
     assert killer_report.supervision["fallbacks"] == SHARDS
 
-    overhead = clean_wall / bare_wall
     recovery = killer_wall - clean_wall
     cpus = os.cpu_count() or 1
     rows = []
     for mode, (report, wall) in measured.items():
-        ledger = report.supervision or {}
+        ledger = report.supervision
         rows.append([
             mode, fmt(wall, 3), fmt(report.attempted / wall, 0),
-            ledger.get("attempts", "-"), ledger.get("retries", "-"),
-            ledger.get("fallbacks", "-"), report.fingerprint()[:12],
+            ledger["attempts"], ledger["retries"], ledger["fallbacks"],
+            report.fingerprint()[:12],
         ])
     print_table(
-        f"E21: supervision overhead, {TOPOLOGY} × {WORKLOAD.key} "
+        f"E21: crash recovery, {TOPOLOGY} × {WORKLOAD.key} "
         f"@ {SHARDS} shards ({cpus} CPUs)",
         ["mode", "wall s", "pkts/s", "attempts", "retries", "fallbacks",
          "fingerprint"],
@@ -90,31 +82,10 @@ def test_e21_supervision_overhead(benchmark):
         "topology": TOPOLOGY,
         "flows": WORKLOAD.flows,
         "shards": SHARDS,
-        "bare_wall_s": round(bare_wall, 4),
         "supervised_wall_s": round(clean_wall, 4),
         "killer_wall_s": round(killer_wall, 4),
-        "overhead_ratio": round(overhead, 3),
         "recovery_cost_s": round(recovery, 4),
         "killer_ledger": dict(killer_report.supervision),
         "cpus": cpus,
-        "fingerprint": bare_report.fingerprint(),
+        "fingerprint": clean_report.fingerprint(),
     })
-    path = Path(__file__).parent / "BENCH_shard.json"
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "node": "benchmarks/test_bench_shard.py::test_e21_supervision_overhead",
-        "mean_s": clean_wall,
-        "min_s": min(wall for _, wall in measured.values()),
-        "max_s": max(wall for _, wall in measured.values()),
-        "stddev_s": 0.0,
-        "rounds": 1,
-        "extra_info": dict(benchmark.extra_info),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n")
-
-    if cpus >= 2:
-        assert overhead <= OVERHEAD_CEILING, (
-            f"supervision overhead {overhead:.2f}x exceeds "
-            f"{OVERHEAD_CEILING}x on a {cpus}-CPU machine"
-        )

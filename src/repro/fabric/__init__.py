@@ -46,7 +46,6 @@ from repro.fabric.scheduler import (
     FlowEngine,
     FlowRecord,
     LinkSchedule,
-    run_fabric,
     run_flows,
 )
 from repro.fabric.shard import merge_reports, run_sharded
@@ -54,7 +53,6 @@ from repro.fabric.supervisor import (
     CheckpointStore,
     SupervisorOptions,
     SupervisorStats,
-    run_supervised,
 )
 from repro.fabric.topo import (
     FabricError,
@@ -107,9 +105,7 @@ __all__ = [
     "linear",
     "merge_reports",
     "oversubscription",
-    "run_fabric",
     "run_flows",
     "run_sharded",
-    "run_supervised",
     "star",
 ]

@@ -80,6 +80,13 @@ class FlowRecord:
     hops_total: int = 0
     hops_max: int = 0
 
+    @property
+    def lost(self) -> int:
+        """Every packet of this flow that was not delivered: wire and
+        flap loss, link cuts, FRR blackholes and hop-limit drops."""
+        return (self.lost_wire + self.lost_flap + self.lost_link
+                + self.blackholed + self.dropped_hop_limit)
+
     def signature(self) -> tuple:
         """The flow's contribution to the run fingerprint."""
         return (
@@ -187,9 +194,7 @@ class FabricReport:
 
     @property
     def lost(self) -> int:
-        return (self._total("lost_wire") + self._total("lost_flap")
-                + self._total("lost_link") + self._total("blackholed")
-                + self._total("dropped_hop_limit"))
+        return sum(r.lost for r in self.records)
 
     @property
     def misdelivered(self) -> int:
@@ -549,11 +554,6 @@ def int_frame(
     return encode_template(base, flow.flow_id, response=is_response)
 
 
-def _lost_total(record: FlowRecord) -> int:
-    return (record.lost_wire + record.lost_flap + record.lost_link
-            + record.blackholed + record.dropped_hop_limit)
-
-
 def _send(
     topology: FabricTopology,
     event: _Event,
@@ -647,7 +647,7 @@ def _send(
                 )
                 for _, dframe, _ in deliveries:
                     collector.deliver_batch(dframe, seqs)
-        lost_before = _lost_total(record)
+        lost_before = record.lost
         record.dropped_hop_limit += outcome.dropped_hop_limit * count
         record.lost_link += outcome.dropped_link_down * count
         hit = False
@@ -664,7 +664,7 @@ def _send(
         if (not hit and not outcome.dropped_hop_limit
                 and not outcome.dropped_link_down):
             record.blackholed += count
-        lost = _lost_total(record) - lost_before
+        lost = record.lost - lost_before
         if lost:
             # Each of the `count` packets lost exactly lost/count,
             # booked at its own tick's epoch.
@@ -1052,7 +1052,7 @@ class FlowEngine:
             totals["delivered"] += r.delivered
             totals["blackholed"] += r.blackholed
             totals["misdelivered"] += r.misdelivered
-            totals["lost"] += _lost_total(r)
+            totals["lost"] += r.lost
         return {
             "finished": self.finished,
             "now": self.now,
@@ -1124,17 +1124,3 @@ def run_flows(
         link_schedule=link_schedule, int_all=int_all, batch=batch,
     ).report()
 
-
-def run_fabric(
-    topology_spec,
-    workload: WorkloadSpec,
-    plan: Optional[FaultPlan] = None,
-    *,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    frr: bool = False,
-    link_schedule: Optional[LinkSchedule] = None,
-) -> FabricReport:
-    """Build a fabric from its spec and run a workload over it."""
-    return run_flows(topology_spec.build(), workload, plan,
-                     max_inflight=max_inflight, frr=frr,
-                     link_schedule=link_schedule)

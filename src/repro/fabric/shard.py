@@ -2,11 +2,11 @@
 
 Flows whose outcomes are pure functions of ``(topology, workload,
 seed)`` are embarrassingly parallel: :func:`run_sharded` partitions them
-by ``flow_id % shards`` across worker processes.  Each worker rebuilds
-its *own* network replica from the picklable :class:`FabricSpec`
-(device models are stateful and unpicklable — the spec travels, not the
-network), regenerates the flow list from the same seed, runs only its
-slice, and ships back its :class:`FabricReport`.
+by ``flow_id % shards``.  Each shard rebuilds its *own* network replica
+from the picklable :class:`FabricSpec` (device models are stateful and
+unpicklable — the spec travels, not the network), regenerates the flow
+list from the same seed, runs only its slice, and yields its
+:class:`FabricReport`.
 
 The merge is deterministic by construction: per-flow records are
 disjoint (concatenate, sort by ``flow_id``), per-device forwarded
@@ -15,27 +15,25 @@ So ``run_sharded(spec, wl, shards=N).fingerprint()`` is byte-identical
 for every ``N`` — the invariant the fabric test suite and the CI smoke
 job pin — while wall-clock throughput scales with cores.
 
-Workers run under the **supervised executor**
-(:mod:`repro.fabric.supervisor`): per-shard deadlines and heartbeats,
-seeded crash chaos, bounded retries with exponential backoff, an inline
-fallback when the budget is exhausted, merge-boundary integrity checks,
-and checkpoint/resume.  A crashed worker costs a retry, never the run —
-and never a bit of the fingerprint.  ``supervised=False`` keeps the old
-bare-pool path as the A/B reference the E21 overhead bench compares
-against.
+There are two ways to run the shards, and both end in the same merge:
 
-``parallel=False`` (or ``shards=1``) runs the same partition/merge path
-in-process — the reference the process paths are checked against, and
-the fallback when worker processes are unavailable (e.g. a daemonic
-parent process).
+* **worker processes** under the supervisor
+  (:mod:`repro.fabric.supervisor`): per-shard deadlines and heartbeats,
+  seeded crash chaos, bounded retries with exponential backoff, an
+  inline fallback when the budget is exhausted, merge-boundary
+  integrity checks, and checkpoint/resume.  A crashed worker costs a
+  retry, never the run — and never a bit of the fingerprint.
+* **in-process**, one shard after another: the reference the process
+  path is checked against, and the path for ``shards=1`` and for
+  ``parallel=False`` (e.g. a daemonic parent process that may not
+  fork workers).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.fabric.scheduler import (
     DEFAULT_MAX_INFLIGHT,
@@ -43,24 +41,16 @@ from repro.fabric.scheduler import (
     LinkSchedule,
     run_flows,
 )
+from repro.fabric.supervisor import (
+    CheckpointStore,
+    SupervisorOptions,
+    _supervise,
+    run_identity,
+)
 from repro.fabric.topo import FabricSpec
 from repro.fabric.workload import Flow, WorkloadSpec
 from repro.faults import FaultPlan
 from repro.int import merge_int_summaries
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fabric.supervisor import SupervisorOptions
-
-
-def _pool_size(shards: int) -> int:
-    """Concurrent worker cap: ``min(shards, cores)``.
-
-    ``Pool(processes=shards)`` used to fork one process per shard even
-    with shards ≫ cores — pure page-table churn with zero extra
-    parallelism.  Shard *partitioning* stays at ``shards`` (it is part
-    of the determinism contract); only process concurrency is capped.
-    """
-    return max(1, min(shards, os.cpu_count() or 1))
 
 
 def _run_shard(
@@ -77,7 +67,7 @@ def _run_shard(
     int_all: bool,
     batch: bool = True,
 ) -> FabricReport:
-    """One worker's slice: rebuild the fabric, carry flows ≡ index (mod
+    """One shard's slice: rebuild the fabric, carry flows ≡ index (mod
     shards).  Module-level so worker processes can pickle it."""
     topology = spec.build()
     return run_flows(
@@ -193,20 +183,20 @@ def run_sharded(
     link_schedule: Optional[LinkSchedule] = None,
     int_all: bool = False,
     batch: bool = True,
-    supervised: bool = True,
     chaos: Optional[FaultPlan] = None,
     checkpoint: Optional[str | os.PathLike] = None,
-    supervisor: Optional["SupervisorOptions"] = None,
+    supervisor: Optional[SupervisorOptions] = None,
 ) -> FabricReport:
     """Run a fabric workload across ``shards`` partitions and merge.
 
-    With ``parallel=True`` and ``shards > 1`` the partitions run in
-    worker processes (at most ``min(shards, cores)`` concurrently)
-    under the supervised executor; otherwise they run sequentially
-    in-process through the identical partition/merge path.  Either way
-    the merged report's fingerprint equals the 1-shard run's — and
-    equals the run with ``fastpath=False`` (flow caches off), since
-    caches are per-replica and observationally inert.
+    With ``parallel=True`` and ``shards > 1`` (or ``chaos`` or
+    ``checkpoint`` given) the partitions run in worker processes (at
+    most ``min(shards, cores)`` concurrently) under the supervisor;
+    otherwise they run one after another in-process.  Either way the
+    shard reports go through the same merge, and the merged report's
+    fingerprint equals the 1-shard run's — and equals the run with
+    ``fastpath=False`` (flow caches off), since caches are per-replica
+    and observationally inert.
 
     ``chaos`` is a fault plan whose :class:`~repro.faults.ShardFaultSpec`
     seeds worker crash/hang/corrupt chaos per (shard, attempt).  It is
@@ -214,9 +204,8 @@ def run_sharded(
     chaos schedule, which the ``-m shard`` suite pins.  ``checkpoint``
     names a directory where accepted shard reports persist as they
     land; rerunning with the same arguments resumes from the surviving
-    shards.  Both require the supervised process path: the inline path
-    (``parallel=False``) has no workers to crash, and the bare pool
-    (``supervised=False``, the E21 A/B reference) predates supervision.
+    shards.  Both need worker processes, so with ``parallel=False``
+    they raise :class:`ValueError` rather than being ignored.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -226,34 +215,24 @@ def run_sharded(
             f"shards={shards} exceeds the {flow_count} flows to carry; "
             "the extra workers would rebuild replicas to forward nothing"
         )
-    wants_supervisor = parallel and supervised and (
-        shards > 1 or chaos is not None or checkpoint is not None
-    )
-    if wants_supervisor:
-        from repro.fabric.supervisor import run_supervised
-
-        return run_supervised(
-            spec, workload, plan,
-            shards=shards, max_inflight=max_inflight, fastpath=fastpath,
-            flows=flows, frr=frr, link_schedule=link_schedule,
-            int_all=int_all, batch=batch, chaos=chaos,
-            checkpoint=checkpoint, options=supervisor,
+    needs_workers = chaos is not None or checkpoint is not None
+    if needs_workers and not parallel:
+        raise ValueError(
+            "chaos and checkpoint need worker processes; "
+            "they cannot be combined with parallel=False (--inline)"
         )
-    if shards == 1:
-        return run_flows(spec.build(), workload, plan,
-                         flows=flows, max_inflight=max_inflight,
-                         fastpath=fastpath, frr=frr,
-                         link_schedule=link_schedule, int_all=int_all,
-                         batch=batch)
     jobs = [(spec, workload, plan, shards, index, max_inflight, fastpath,
              flows, frr, link_schedule, int_all, batch)
             for index in range(shards)]
-    if parallel:
-        # The legacy bare pool: no deadlines, no retries, no integrity
-        # checks — one worker crash aborts the run.  Kept as the E21
-        # supervision-overhead reference.
-        with multiprocessing.Pool(processes=_pool_size(shards)) as pool:
-            reports = pool.starmap(_run_shard, jobs)
-    else:
-        reports = [_run_shard(*job) for job in jobs]
-    return merge_reports(reports, shards)
+    if not (parallel and (shards > 1 or needs_workers)):
+        return merge_reports([_run_shard(*job) for job in jobs], shards)
+    store = None
+    if checkpoint is not None:
+        store = CheckpointStore(checkpoint, run_identity(
+            spec, workload, plan, shards, max_inflight, fastpath, flows,
+            frr, link_schedule, int_all, batch))
+    reports, stats = _supervise(_run_shard, jobs, store, chaos,
+                                supervisor or SupervisorOptions())
+    merged = merge_reports(reports, shards)
+    merged.supervision = stats.as_dict()
+    return merged

@@ -1,10 +1,10 @@
 """Supervised shard execution: deadlines, heartbeats, retries, checkpoints.
 
-The bare ``Pool.starmap`` executor had one failure mode: total.  A
-crashed, hung or OOM-killed worker aborted the whole fabric run with
-nothing salvaged.  This module replaces it with a **supervisor** that
-treats partial failure as the common case and still never changes what
-the run computes:
+A bare process pool has one failure mode: total.  A crashed, hung or
+OOM-killed worker aborts the whole fabric run with nothing salvaged.
+:func:`~repro.fabric.shard.run_sharded` therefore runs its worker
+processes under a **supervisor** that treats partial failure as the
+common case and still never changes what the run computes:
 
 * every shard runs in its own worker process under a wall-clock
   **deadline** and a **heartbeat** (a worker whose heartbeats stop is
@@ -49,14 +49,9 @@ import time
 from dataclasses import dataclass, fields
 from multiprocessing import Pipe, Process, connection
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.fabric.scheduler import (
-    DEFAULT_MAX_INFLIGHT,
-    FabricReport,
-    FlowRecord,
-    LinkSchedule,
-)
+from repro.fabric.scheduler import FabricReport, FlowRecord, LinkSchedule
 from repro.fabric.topo import FabricSpec
 from repro.fabric.workload import Flow, WorkloadSpec
 from repro.faults import FaultPlan
@@ -320,8 +315,8 @@ def _corrupt_report(report: FabricReport) -> None:
         report.device_forwarded["corrupted"] = 1
 
 
-def _shard_worker(conn, job: tuple, chaos_action: Optional[str],
-                  heartbeat_s: float) -> None:
+def _shard_worker(conn, run_shard: Callable[..., FabricReport], job: tuple,
+                  chaos_action: Optional[str], heartbeat_s: float) -> None:
     """One worker process: heartbeat thread + one shard's flows.
 
     The chaos action was drawn in the supervisor (per (shard, attempt),
@@ -332,8 +327,6 @@ def _shard_worker(conn, job: tuple, chaos_action: Optional[str],
     *after* self-fingerprinting — exactly what the merge-boundary
     integrity check exists to catch.
     """
-    from repro.fabric.shard import _run_shard
-
     stop = threading.Event()
 
     def beat() -> None:
@@ -353,7 +346,7 @@ def _shard_worker(conn, job: tuple, chaos_action: Optional[str],
         stop.set()  # a wedged process stops heartbeating too
         while True:  # pragma: no cover - killed by the supervisor
             time.sleep(60.0)
-    report = _run_shard(*job)
+    report = run_shard(*job)
     fingerprint = report.fingerprint()
     if chaos_action == "corrupt":
         _corrupt_report(report)
@@ -435,46 +428,35 @@ class _Worker:
             pass  # worker went away mid-message; health check decides
 
 
-def run_supervised(
-    spec: FabricSpec,
-    workload: WorkloadSpec,
-    plan: Optional[FaultPlan] = None,
-    *,
-    shards: int,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    fastpath: bool = True,
-    flows: Optional[list[Flow]] = None,
-    frr: bool = False,
-    link_schedule: Optional[LinkSchedule] = None,
-    int_all: bool = False,
-    batch: bool = True,
-    chaos: Optional[FaultPlan] = None,
-    checkpoint: Optional[str | os.PathLike] = None,
-    options: Optional[SupervisorOptions] = None,
-) -> FabricReport:
-    """Run a sharded fabric workload under supervision and merge.
+def _pool_size(shards: int) -> int:
+    """Concurrent worker cap: ``min(shards, cores)``.
 
-    The drop-in supervised equivalent of the bare pool: same partition
-    (``flow_id % shards``), same merge, same fingerprint — plus worker
-    deadlines/heartbeats, seeded ``chaos``, bounded retries with the
-    inline fallback, and optional ``checkpoint`` (a directory) for
-    resume.  The merged report carries the supervision ledger in
-    ``report.supervision``.
+    One process per shard with shards ≫ cores is pure page-table churn
+    with zero extra parallelism.  Shard *partitioning* stays at
+    ``shards`` (it is part of the determinism contract); only process
+    concurrency is capped.
     """
-    from repro.fabric.shard import _pool_size, _run_shard, merge_reports
+    return max(1, min(shards, os.cpu_count() or 1))
 
-    options = options or SupervisorOptions()
+
+def _supervise(
+    run_shard: Callable[..., FabricReport],
+    jobs: list[tuple],
+    store: Optional[CheckpointStore],
+    chaos: Optional[FaultPlan],
+    options: SupervisorOptions,
+) -> tuple[list[FabricReport], SupervisorStats]:
+    """Run ``run_shard(*jobs[i])`` for every shard ``i`` under supervision.
+
+    Each shard runs in its own worker process with a deadline and a
+    heartbeat, seeded ``chaos``, bounded retries and the inline
+    fallback; ``store`` (when given) restores surviving shards and
+    persists accepted ones.  Returns the shard reports in index order,
+    each one checked by :func:`reject_reason`, and the ledger; the
+    caller merges them.
+    """
+    shards = len(jobs)
     stats = SupervisorStats()
-    identity = run_identity(spec, workload, plan, shards, max_inflight,
-                            fastpath, flows, frr, link_schedule, int_all,
-                            batch)
-    store = (CheckpointStore(checkpoint, identity)
-             if checkpoint is not None else None)
-
-    def job(index: int) -> tuple:
-        return (spec, workload, plan, shards, index, max_inflight,
-                fastpath, flows, frr, link_schedule, int_all, batch)
-
     results: dict[int, FabricReport] = {}
     waiting: set[int] = set()
     for index in range(shards):
@@ -507,7 +489,7 @@ def run_supervised(
             # this process.  Chaos only ever touches workers, so the
             # fallback cannot fail the same way — the run always lands.
             stats.fallbacks += 1
-            accept(index, _run_shard(*job(index)))
+            accept(index, run_shard(*jobs[index]))
             return
         stats.retries += 1
         backoff_until[index] = (time.monotonic()
@@ -520,7 +502,8 @@ def run_supervised(
         parent_conn, child_conn = Pipe(duplex=False)
         process = Process(
             target=_shard_worker,
-            args=(child_conn, job(index), action, options.heartbeat_s),
+            args=(child_conn, run_shard, jobs[index], action,
+                  options.heartbeat_s),
             daemon=True,
         )
         process.start()
@@ -571,6 +554,4 @@ def run_supervised(
                 worker.kill()
                 fail(worker)
 
-    merged = merge_reports([results[i] for i in range(shards)], shards)
-    merged.supervision = stats.as_dict()
-    return merged
+    return [results[i] for i in range(shards)], stats

@@ -9,8 +9,8 @@ observable:
   :mod:`repro.fastpath.cache` for the invariants).
 * the **path cache** inside :class:`repro.testenv.topology.Network` —
   memoizes whole hop walks per (entry attachment, frame) while the
-  topology-wide generation vector is stable, and batches injections
-  through :meth:`Network.inject_many`.
+  topology-wide generation vector is stable; :meth:`Network.inject`
+  replays them.
 
 Batch replay (S27) is the path-cache walk applied × n:
 :meth:`Network.inject_batch` moves every counter of a warm walk ``n``

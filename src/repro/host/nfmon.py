@@ -189,13 +189,13 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             spec, workload, plan,
             shards=args.shards, parallel=not args.inline,
             fastpath=not args.no_fastpath,
-            supervised=not args.bare_pool,
             chaos=chaos, checkpoint=args.checkpoint,
         )
         wall_s = time.perf_counter() - started
     except ValueError as exc:
-        # Unknown topology/workload/plan preset, shards > flows, or a
-        # checkpoint written by a different run — operator error.
+        # Unknown topology/workload/plan preset, shards > flows, a
+        # checkpoint written by a different run, or chaos/checkpoint
+        # with --inline — operator error.
         print(str(exc), file=sys.stderr)
         return 2
     if args.format == "json":
@@ -244,11 +244,9 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             print(f"  {'flow':>6s} {'src':>5s} {'dst':>5s} {'try':>5s} "
                   f"{'ok':>5s} {'lost':>5s} {'hops≤':>5s}")
             for record in report.records:
-                lost = (record.lost_wire + record.lost_flap
-                        + record.blackholed + record.dropped_hop_limit)
                 print(f"  {record.flow_id:>6d} {record.src:>5s} "
                       f"{record.dst:>5s} {record.attempted:>5d} "
-                      f"{record.delivered:>5d} {lost:>5d} "
+                      f"{record.delivered:>5d} {record.lost:>5d} "
                       f"{record.hops_max:>5d}")
         print(f"  fingerprint: {report.fingerprint()}")
         print(f"  healthy: {report.healthy()}")
@@ -541,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument("--checkpoint", default=None, metavar="DIR",
                         help="persist accepted shard reports here and "
                              "resume from survivors on rerun")
-    fabric.add_argument("--bare-pool", action="store_true",
-                        help="bypass the supervised executor (legacy "
-                             "bare pool; the E21 overhead reference)")
     fabric.add_argument("--format", choices=("table", "json"),
                         default="table")
     fabric.add_argument("--per-flow", action="store_true",

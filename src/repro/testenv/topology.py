@@ -26,9 +26,8 @@ counter).  A walk is only cached when it touched no CPU handler, no
 device with armed data-path faults, and mutated no table; replays apply
 the recorded counter deltas so per-device statistics (and the fabric
 fingerprint built from them) are byte-identical cached or not.
-:meth:`Network.inject_many` batches injections and amortizes the
-generation check across hits.  ``set_fastpath(False)`` turns the path
-cache *and* every device's microflow cache off for A/B runs.
+``set_fastpath(False)`` turns the path cache *and* every device's
+microflow cache off for A/B runs.
 
 **Batch replay (S27).**  :meth:`Network.inject_batch` is the path-cache
 walk applied × n: when the caller is about to send ``n`` identical
@@ -354,37 +353,11 @@ class Network:
         if not self.path_cache_enabled:
             result = self._walk(device, port, frame, record=False)[0]
         else:
-            result, _ = self._inject_cached(
-                device, port, frame, self._network_generation()
-            )
+            result = self._inject_cached(device, port, frame)
         if int_seq is not None:
             for delivery in result:
                 delivery.frame = _int_set_seq(delivery.frame, int_seq)
         return result
-
-    def inject_many(
-        self, injections: Iterable[tuple[str, int, bytes]]
-    ) -> list[InjectionResult]:
-        """Inject a batch; returns one :class:`InjectionResult` each.
-
-        Semantically identical to calling :meth:`inject` in a loop, but
-        the topology-wide generation is computed once per batch and only
-        refreshed after a cache miss (a replayed walk cannot mutate
-        table state, so consecutive hits skip the re-validation that a
-        lone ``inject`` must pay) — the batching the fabric scheduler's
-        repeated sends and :meth:`run` lean on.
-        """
-        if not self.path_cache_enabled:
-            return [self._walk(device, port, frame, record=False)[0]
-                    for device, port, frame in injections]
-        generation = self._network_generation()
-        out = []
-        for device, port, frame in injections:
-            result, generation = self._inject_cached(
-                device, port, frame, generation
-            )
-            out.append(result)
-        return out
 
     def inject_batch(
         self, device: str, port: int, frame: bytes, count: int,
@@ -469,12 +442,6 @@ class Network:
         self._batch["prewarmed"] += warmed
         return warmed
 
-    def run(self, traffic: list[tuple[str, int, bytes]]) -> list[Delivery]:
-        """Inject a sequence of ``(device, port, frame)``; returns all
-        deliveries in order."""
-        self.inject_many(traffic)
-        return self.deliveries
-
     # -- the path cache -------------------------------------------------
     def _network_generation(self) -> int:
         """Sum of all device generations plus the wiring counter.
@@ -488,9 +455,10 @@ class Network:
         return total
 
     def _inject_cached(
-        self, device: str, port: int, frame: bytes, generation: int
-    ) -> tuple[InjectionResult, int]:
-        """One cached injection; returns (result, current generation)."""
+        self, device: str, port: int, frame: bytes
+    ) -> InjectionResult:
+        """One injection through the path cache."""
+        generation = self._network_generation()
         if generation != self._path_generation:
             if self._path_cache:
                 self.path_invalidations += 1
@@ -500,17 +468,16 @@ class Network:
         cached = self._path_cache.get(key)
         if cached is not None:
             self.path_hits += 1
-            return self._replay_walk(cached), generation
+            return self._replay_walk(cached)
         self.path_misses += 1
         result, walk = self._walk(device, port, frame, record=True)
-        after = self._network_generation()
         if walk is None:
             self.path_bypasses += 1
-        elif after == generation:
+        elif self._network_generation() == generation:
             if len(self._path_cache) >= PATH_CACHE_CAPACITY:
                 del self._path_cache[next(iter(self._path_cache))]
             self._path_cache[key] = walk
-        return result, after
+        return result
 
     def _apply_walk(self, walk: CachedWalk, count: int) -> None:
         """Move every counter ``count`` packets of ``walk`` move."""

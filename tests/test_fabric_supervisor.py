@@ -25,10 +25,10 @@ from repro.fabric import (
     run_flows,
     run_sharded,
 )
-from repro.fabric.shard import _pool_size
 from repro.fabric.supervisor import (
     CHECKPOINT_FORMAT,
     CheckpointStore,
+    _pool_size,
     reject_reason,
     report_from_dict,
     report_to_dict,
@@ -257,6 +257,20 @@ class TestPoolAndMergeGuards:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _pool_size(8) == 1
 
+    @pytest.mark.parametrize("chaos,checkpoint", [
+        (True, False), (False, True), (True, True),
+    ])
+    def test_in_process_refuses_chaos_and_checkpoint(self, chaos, checkpoint,
+                                                     tmp_path):
+        """Neither option means anything without worker processes, so
+        the in-process path refuses them instead of dropping them."""
+        with pytest.raises(ValueError, match="parallel=False"):
+            run_sharded(get_topology("leaf-spine"), get_workload(WORKLOAD),
+                        shards=2, parallel=False,
+                        chaos=get_plan("shard-killer", seed=0) if chaos else None,
+                        checkpoint=tmp_path if checkpoint else None)
+        assert list(tmp_path.iterdir()) == []
+
     def test_more_shards_than_flows_rejected_early(self):
         workload = get_workload(WORKLOAD)
         with pytest.raises(ValueError, match="exceeds the"):
@@ -374,8 +388,10 @@ class TestNfmonShardCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["supervision"]["checkpoint_hits"] == 2
 
-    def test_bare_pool_still_works(self, capsys):
+    def test_inline_checkpoint_is_operator_error(self, capsys, tmp_path):
         from repro.host.nfmon import main as nfmon_main
 
-        assert nfmon_main(self._base() + ["--bare-pool"]) == 0
-        assert "supervision:" not in capsys.readouterr().out
+        args = self._base() + ["--inline", "--checkpoint", str(tmp_path)]
+        assert nfmon_main(args) == 2
+        assert "parallel=False" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -58,19 +58,6 @@ class TestPathCache:
                     == slow.device(name).opl.counters)
         assert fast.path_hits == 1  # the third A→B repeats the second
 
-    def test_inject_many_equals_sequential_injects(self):
-        batched, sequential = two_switch_fabric(), two_switch_fabric()
-        traffic = [("s1", 0, udp_frame(1, 2)), ("s2", 1, udp_frame(2, 1)),
-                   ("s1", 0, udp_frame(1, 2)), ("s2", 2, udp_frame(3, 1)),
-                   ("s1", 0, udp_frame(1, 2))]
-        batch_results = batched.inject_many(traffic)
-        seq_results = [sequential.inject(d, p, f) for d, p, f in traffic]
-        assert delivery_log(batched) == delivery_log(sequential)
-        for got, want in zip(batch_results, seq_results):
-            assert [(d.at, d.frame, d.hops) for d in got] == \
-                   [(d.at, d.frame, d.hops) for d in want]
-            assert got.dropped_hop_limit == want.dropped_hop_limit
-
     def test_table_mutation_invalidates_the_path_cache(self):
         net = two_switch_fabric()
         frame = udp_frame(1, 2)

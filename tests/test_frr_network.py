@@ -247,15 +247,20 @@ class TestLinkKillInvalidatesCaches:
             assert (fast.device(name).opl.counters
                     == slow.device(name).opl.counters)
 
-    def test_inject_many_respects_mid_batch_state(self):
+    def test_repeated_injects_respect_link_state_changes(self):
         net = two_switch_fabric()
         learn_hosts(net)
-        batch = [("s1", 0, udp_frame(1, 2))] * 3
-        net.inject_many(batch)
+        frame = udp_frame(1, 2)
+
+        def send_three():
+            for _ in range(3):
+                net.inject("s1", 0, frame)
+
+        send_three()
         delivered = len(net.deliveries)
         net.set_link_state("s1", "s2", up=False)
-        net.inject_many(batch)
+        send_three()
         assert len(net.deliveries) == delivered
         net.set_link_state("s1", "s2", up=True)
-        net.inject_many(batch)
+        send_three()
         assert len(net.deliveries) == delivered + 3
